@@ -13,6 +13,11 @@ ObjectId ObjectCatalog::intern(const std::string& name) {
   return id;
 }
 
+void ObjectCatalog::truncate(std::size_t size) {
+  for (std::size_t i = size; i < names_.size(); ++i) index_.erase(names_[i]);
+  if (size < names_.size()) names_.resize(size);
+}
+
 std::optional<ObjectId> ObjectCatalog::find(const std::string& name) const {
   const auto it = index_.find(name);
   if (it == index_.end()) return std::nullopt;

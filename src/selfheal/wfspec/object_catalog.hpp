@@ -23,6 +23,10 @@ class ObjectCatalog {
   /// Returns the id for `name`, creating it on first use.
   ObjectId intern(const std::string& name);
 
+  /// Forgets every name interned after the first `size`: rolls back
+  /// what a rejected parse interned. No-op when size >= size().
+  void truncate(std::size_t size);
+
   /// Id for an existing name; nullopt if never interned.
   [[nodiscard]] std::optional<ObjectId> find(const std::string& name) const;
 

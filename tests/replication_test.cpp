@@ -12,6 +12,8 @@
 #include "selfheal/replication/group.hpp"
 #include "selfheal/replication/node.hpp"
 #include "selfheal/replication/transport.hpp"
+#include "selfheal/service/client.hpp"
+#include "selfheal/service/daemon.hpp"
 #include "selfheal/service/loadgen.hpp"
 #include "selfheal/service/request.hpp"
 
@@ -48,6 +50,22 @@ service::Request alert_request(std::uint32_t run) {
   service::Request request;
   request.kind = service::RequestKind::kAlert;
   request.alert_run = run;
+  return request;
+}
+
+// Well-framed requests every node must reject as a client error. Both
+// submits intern a fresh object name before they fail, so a node that
+// kept it would hold a different catalog from one that never saw them.
+service::Request bad_spec_request() {
+  service::Request request = submit_request("bad-spec", false);
+  request.spec_dsl = "workflow broken\ntask a writes fresh\nbogus\n";
+  return request;
+}
+
+service::Request ghost_mark_request() {
+  service::Request request = submit_request("ghost", false);
+  request.spec_dsl = "workflow ghost\ntask g writes phantom\n";
+  request.attacks.push_back(service::AttackMark{"no-such-task", 1});
   return request;
 }
 
@@ -363,7 +381,9 @@ TEST(ReplicaGroup, FollowerCatchesUpFromSnapshotPlusLog) {
                               // snapshot path, not just log replay
   ReplicaGroup group(config);
   group.kill(2);  // misses the whole run
-  std::vector<service::Request> requests;
+  // A client error first: the snapshot the follower installs must not
+  // carry what the rejected parse interned.
+  std::vector<service::Request> requests = {bad_spec_request()};
   for (int i = 0; i < 4; ++i) {
     requests.push_back(submit_request("run-" + std::to_string(i), i % 2 == 0));
     if (i % 2 == 0) requests.push_back(alert_request(static_cast<std::uint32_t>(i)));
@@ -409,6 +429,83 @@ TEST(ReplicaGroup, FollowerRedirectsWithLeaderHint) {
   const auto accepted = group.submit(group.leader(), frame);
   EXPECT_TRUE(accepted.accepted);
   EXPECT_EQ(group.node(group.leader()).world().runs(), 1u);
+}
+
+TEST(ReplicaGroup, ClientErrorsApplyAsTheSameNoOpOnEveryNode) {
+  // Client errors are classified once, in TenantWorld: the daemon
+  // answers them ok=false, and the oracle and every replica apply them
+  // as the same no-op -- the end bytes equal a run that never saw them.
+  struct Step {
+    service::Request request;
+    bool client_error;
+  };
+  const std::vector<Step> steps = {
+      {bad_spec_request(), true},  // before any run exists
+      {submit_request("run-0", true), false},
+      {alert_request(0), false},
+      {ghost_mark_request(), true},
+      {alert_request(7), true},
+      {submit_request("run-1", true), false},
+      {bad_spec_request(), true},
+      {alert_request(1), false},
+      {submit_request("run-2", false), false},
+      {alert_request(3), true},
+  };
+  std::vector<service::Request> requests;
+  std::vector<service::Request> valid;
+  for (const auto& step : steps) {
+    requests.push_back(step.request);
+    if (!step.client_error) valid.push_back(step.request);
+  }
+  const service::TenantConfig tenant;
+  const auto oracle =
+      service::run_drive_once_oracle(tenant, as_trace(requests));
+  EXPECT_TRUE(oracle.strict_correct);
+  EXPECT_TRUE(oracle.identical(
+      service::run_drive_once_oracle(tenant, as_trace(valid))));
+
+  service::ServiceDaemon daemon(service::ServiceConfig{0, 8u << 20, 32});
+  const auto id = daemon.add_tenant(tenant);
+  service::ServiceClient client(daemon, id);
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const auto response = client.call(steps[i].request);
+    EXPECT_EQ(response.ok, !steps[i].client_error) << "request " << i;
+    EXPECT_EQ(response.error.empty(), !steps[i].client_error) << "request " << i;
+  }
+  EXPECT_EQ(daemon.tenant(id).stats().client_errors, 5u);
+  EXPECT_TRUE(daemon.drain_all());
+  EXPECT_FALSE(daemon.tenant(id).quarantined());
+  const auto served = service::capture_tenant_state(daemon.tenant(id));
+  EXPECT_TRUE(served.identical(oracle));
+  EXPECT_TRUE(served.strict_correct);
+
+  // Follower 2 misses the first bad request and installs the snapshot
+  // taken right after it (no run yet, so the snapshot has no catalog).
+  // Follower 1 applies it, crashes, and restarts from its acceptor WAL
+  // after the next two client errors.
+  ReplicaGroupConfig config;
+  config.snapshot_every = 1;
+  ReplicaGroup group(config);
+  group.kill(2);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto ack = group.submit(group.leader(),
+                                  service::encode_frame(requests[i]));
+    ASSERT_TRUE(ack.accepted) << "request " << i;
+    if (i == 0) {
+      group.restart(2);
+      group.sync();
+      group.kill(1);
+    }
+    if (i == 4) group.restart(1);
+  }
+  group.heal();
+  group.sync();
+  for (std::size_t i = 0; i < group.replicas(); ++i) {
+    const auto state = group.capture(static_cast<NodeId>(i));
+    EXPECT_TRUE(state.identical(oracle)) << "replica " << i << " diverged";
+    EXPECT_TRUE(state.strict_correct) << "replica " << i;
+    EXPECT_EQ(group.node(static_cast<NodeId>(i)).world().runs(), 3u);
+  }
 }
 
 // --- Campaigns ---

@@ -257,9 +257,18 @@ TEST(ServiceAdmission, MalformedSpecIsClientErrorNotQuarantine) {
   ghost.attacks.push_back(AttackMark{"no-such-task", 1});
   EXPECT_FALSE(client.call(ghost).ok);
   EXPECT_FALSE(daemon.tenant(id).quarantined());
+  // So is an alert for a run index the tenant never started.
+  Request stray;
+  stray.kind = RequestKind::kAlert;
+  stray.alert_run = 7;
+  const auto stray_response = client.call(stray);
+  EXPECT_FALSE(stray_response.ok);
+  EXPECT_EQ(stray_response.error, "alert for unknown run index 7");
+  EXPECT_FALSE(daemon.tenant(id).quarantined());
   // The tenant still works.
   EXPECT_TRUE(client.call(make_submit("r2")).ok);
-  EXPECT_EQ(daemon.tenant(id).stats().client_errors, 2u);
+  EXPECT_EQ(daemon.tenant(id).stats().client_errors, 3u);
+  EXPECT_EQ(daemon.tenant(id).stats().runs_started, 1u);
 }
 
 // --- Byte identity vs the drive-once oracle ---
